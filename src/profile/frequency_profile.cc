@@ -28,7 +28,9 @@ FrequencyProfile FrequencyProfile::FromFrequencyCounts(
   return profile;
 }
 
-FrequencyProfile FrequencyProfile::FromValues(
+// Pinned to a cache line: append snapshots run this loop on every batch,
+// and its latency moved with where the linker happened to place it.
+[[gnu::aligned(64)]] FrequencyProfile FrequencyProfile::FromValues(
     std::span<const uint64_t> values, int64_t expected_distinct) {
   // Unreserved by default: the distinct count is typically far below
   // values.size(), and growing from small keeps the table cache-resident

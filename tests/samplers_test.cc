@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -67,6 +68,45 @@ TEST(FloydTest, UniformInclusionProbability) {
   for (int c : counts) {
     EXPECT_NEAR(c, kTrials * 0.3, kTrials * 0.02);
   }
+}
+
+// Floyd's sampler as written over an exact set of row ids; the production
+// sampler keys its flat set by Hash64(row) and must draw the same rows.
+std::vector<int64_t> ReferenceFloyd(int64_t n, int64_t r, Rng& rng) {
+  std::set<int64_t> chosen;
+  std::vector<int64_t> rows;
+  for (int64_t j = n - r; j < n; ++j) {
+    const int64_t t =
+        static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(j) + 1));
+    if (chosen.insert(t).second) {
+      rows.push_back(t);
+    } else {
+      chosen.insert(j);
+      rows.push_back(j);
+    }
+  }
+  return rows;
+}
+
+void ExpectFloydMatchesReference(int64_t n, int64_t r, uint64_t seed) {
+  SCOPED_TRACE("n=" + std::to_string(n) + " r=" + std::to_string(r));
+  Rng expected_rng(seed);
+  Rng actual_rng(seed);
+  EXPECT_EQ(SampleWithoutReplacementFloyd(n, r, actual_rng),
+            ReferenceFloyd(n, r, expected_rng));
+  // Both consumed the same draws.
+  EXPECT_EQ(actual_rng.NextU64(), expected_rng.NextU64());
+}
+
+TEST(FloydTest, MatchesExactSetReference) {
+  ExpectFloydMatchesReference(0, 0, 1);
+  ExpectFloydMatchesReference(10, 0, 2);
+  ExpectFloydMatchesReference(1, 1, 3);
+  ExpectFloydMatchesReference(20, 20, 4);
+  ExpectFloydMatchesReference(1000, 1000, 5);
+  ExpectFloydMatchesReference(1000, 100, 6);
+  ExpectFloydMatchesReference(100000, 1000, 7);
+  ExpectFloydMatchesReference(2000000, 20000, 8);
 }
 
 TEST(FisherYatesTest, ProducesDistinctRowsOfRightSize) {
