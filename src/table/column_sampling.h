@@ -10,9 +10,9 @@
 
 namespace ndv {
 
-// Glue between row sampling and the frequency profile: batch-hashes the
-// sampled rows of a column and streams them through a flat counter into a
-// SampleSummary (one pass, no intermediate hash vector).
+// Glue between row sampling and the frequency profile: hashes the sampled
+// rows of a column with one HashRange call into an r-entry buffer and
+// counts them into a SampleSummary.
 
 enum class SamplingScheme {
   kWithReplacement,
