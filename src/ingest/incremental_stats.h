@@ -148,9 +148,10 @@ class IncrementalStats {
 
   // Rule-1 staleness (PostgreSQL-style autovacuum trigger): rows appended
   // since the baseline exceed `changed_fraction` of the rows at the
-  // baseline. Same semantics as IncrementalColumnTracker: never-fresh is
-  // always stale; IsStale clamps a bad knob to 0 (any append is stale),
-  // IsStaleOrStatus rejects it with InvalidArgument.
+  // baseline. Never-fresh is always stale, and a zero-row baseline is
+  // stale after any append. IsStale clamps a bad knob (zero, negative,
+  // NaN) to 0, so any append is stale; IsStaleOrStatus rejects any
+  // non-finite or non-positive knob with InvalidArgument.
   bool IsStale(double changed_fraction = 0.2) const;
   StatusOr<bool> IsStaleOrStatus(double changed_fraction) const;
 

@@ -13,9 +13,10 @@
 
 namespace ndv {
 
-// Column implementations over an ndvpack v2 block directory. Where v1's
-// mapped columns alias one contiguous array, a v2 column is a sequence of
-// independently-coded blocks: raw blocks are still aliased in place
+// Column implementations over an ndvpack block directory — the one column
+// family for both pack formats. A v2 column is a sequence of
+// independently-coded blocks; a v1 column is cut into raw blocks over its
+// contiguous array at load (TableFromPack). Raw blocks are aliased in place
 // (zero-copy), compressed blocks (delta, narrow dict codes) decode on
 // demand into a small per-thread scratch buffer — one block at a time, so
 // a full scan runs in bounded memory and a sampled scan never decodes a
@@ -106,8 +107,8 @@ class BlockedDoubleColumn final : public Column {
 };
 
 // Dictionary string column over raw/narrow code blocks plus the shared
-// per-column dictionary (offsets + blob aliased from the mapping, hashes
-// precomputed at open like the v1 mapped column).
+// per-column dictionary (offsets + blob aliased from the mapping, one hash
+// per dictionary entry precomputed at open).
 class BlockedStringColumn final : public Column {
  public:
   BlockedStringColumn(int64_t rows, int64_t block_rows,

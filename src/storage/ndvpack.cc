@@ -1,5 +1,6 @@
 #include "storage/ndvpack.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -9,7 +10,7 @@
 #include "common/check.h"
 #include "common/file_io.h"
 #include "storage/blocked_column.h"
-#include "storage/mapped_column.h"
+#include "storage/pack_codec.h"
 #include "storage/pack_reader.h"
 #include "storage/pack_writer.h"
 
@@ -115,32 +116,18 @@ std::string SerializePack(const Table& table) {
     AppendU32(directory, static_cast<uint32_t>(name.size()));
     directory.append(name);
 
-    // The writer accepts both heap and mapped columns, so repacking a
-    // mapped table round-trips without materializing heap copies.
+    // The writer accepts heap columns and the blocked columns that either
+    // pack format loads as, so any loaded table repacks to v1.
     if (const auto* i64 = dynamic_cast<const Int64Column*>(&column)) {
       AppendU32(directory, kTypeInt64);
       const uint64_t offset = AlignPayload8(payload);
       payload.append(reinterpret_cast<const char*>(i64->values().data()),
                      row_count * sizeof(int64_t));
       AppendU64(directory, offset);
-    } else if (const auto* mi64 =
-                   dynamic_cast<const MappedInt64Column*>(&column)) {
-      AppendU32(directory, kTypeInt64);
-      const uint64_t offset = AlignPayload8(payload);
-      payload.append(reinterpret_cast<const char*>(mi64->values().data()),
-                     row_count * sizeof(int64_t));
-      AppendU64(directory, offset);
     } else if (const auto* dbl = dynamic_cast<const DoubleColumn*>(&column)) {
       AppendU32(directory, kTypeDouble);
       const uint64_t offset = AlignPayload8(payload);
       payload.append(reinterpret_cast<const char*>(dbl->values().data()),
-                     row_count * sizeof(double));
-      AppendU64(directory, offset);
-    } else if (const auto* mdbl =
-                   dynamic_cast<const MappedDoubleColumn*>(&column)) {
-      AppendU32(directory, kTypeDouble);
-      const uint64_t offset = AlignPayload8(payload);
-      payload.append(reinterpret_cast<const char*>(mdbl->values().data()),
                      row_count * sizeof(double));
       AppendU64(directory, offset);
     } else if (const auto* str = dynamic_cast<const StringColumn*>(&column)) {
@@ -164,33 +151,10 @@ std::string SerializePack(const Table& table) {
       AppendU64(directory, offsets_offset);
       AppendU64(directory, blob_offset);
       AppendU64(directory, blob_length);
-    } else if (const auto* mstr =
-                   dynamic_cast<const MappedStringColumn*>(&column)) {
-      AppendU32(directory, kTypeString);
-      const uint64_t codes_offset = AlignPayload8(payload);
-      payload.append(reinterpret_cast<const char*>(mstr->codes().data()),
-                     row_count * sizeof(int32_t));
-      const uint64_t offsets_offset = AlignPayload8(payload);
-      uint64_t blob_length = 0;
-      const int64_t dict_count = mstr->dictionary_size();
-      for (int64_t i = 0; i < dict_count; ++i) {
-        AppendU64(payload, blob_length);
-        blob_length += mstr->DictionaryEntry(static_cast<int32_t>(i)).size();
-      }
-      AppendU64(payload, blob_length);
-      const uint64_t blob_offset = kHeaderBytes + payload.size();
-      for (int64_t i = 0; i < dict_count; ++i) {
-        payload.append(mstr->DictionaryEntry(static_cast<int32_t>(i)));
-      }
-      AppendU64(directory, codes_offset);
-      AppendU64(directory, static_cast<uint64_t>(dict_count));
-      AppendU64(directory, offsets_offset);
-      AppendU64(directory, blob_offset);
-      AppendU64(directory, blob_length);
     } else if (const auto* bi64 =
                    dynamic_cast<const BlockedInt64Column*>(&column)) {
-      // Blocked (v2) columns decode into a scratch buffer: downgrading a
-      // compressed pack to v1 inherently materializes the raw values.
+      // Blocked columns copy out through a scratch buffer, which also
+      // decodes compressed v2 blocks back to raw values.
       AppendU32(directory, kTypeInt64);
       const uint64_t offset = AlignPayload8(payload);
       std::vector<int64_t> values(row_count);
@@ -466,22 +430,50 @@ StatusOr<PackView> ParsePack(std::span<const uint8_t> bytes) {
   return view;
 }
 
+namespace {
+
+// Cuts one validated v1 array into kDefaultPackBlockRows-row raw blocks
+// that alias it in place; the last block may be partial. The result is the
+// block list of a v2 column written with the raw codec at the default
+// block size.
+template <typename T>
+std::vector<PackBlockRef> RawBlocks(std::span<const T> values) {
+  const auto rows = static_cast<int64_t>(values.size());
+  std::vector<PackBlockRef> blocks;
+  blocks.reserve(static_cast<size_t>(
+      (rows + kDefaultPackBlockRows - 1) / kDefaultPackBlockRows));
+  for (int64_t begin = 0; begin < rows; begin += kDefaultPackBlockRows) {
+    const int64_t block = std::min(kDefaultPackBlockRows, rows - begin);
+    blocks.push_back(
+        {PackBlockCodec::kRaw, 0, block,
+         reinterpret_cast<const uint8_t*>(values.data() + begin),
+         static_cast<uint64_t>(block) * sizeof(T)});
+  }
+  return blocks;
+}
+
+}  // namespace
+
 Table TableFromPack(const PackView& view, std::shared_ptr<const void> owner) {
   Table table;
+  const auto rows = static_cast<int64_t>(view.row_count);
   for (const PackColumnView& column : view.columns) {
     std::unique_ptr<Column> built;
     switch (column.type) {
       case ColumnType::kInt64:
-        built = std::make_unique<MappedInt64Column>(column.int64_values,
-                                                    owner);
+        built = std::make_unique<BlockedInt64Column>(
+            rows, kDefaultPackBlockRows, RawBlocks(column.int64_values),
+            owner);
         break;
       case ColumnType::kDouble:
-        built = std::make_unique<MappedDoubleColumn>(column.double_values,
-                                                     owner);
+        built = std::make_unique<BlockedDoubleColumn>(
+            rows, kDefaultPackBlockRows, RawBlocks(column.double_values),
+            owner);
         break;
       case ColumnType::kString:
-        built = std::make_unique<MappedStringColumn>(
-            column.codes, column.dict_offsets, column.dict_blob, owner);
+        built = std::make_unique<BlockedStringColumn>(
+            rows, kDefaultPackBlockRows, RawBlocks(column.codes),
+            column.dict_offsets, column.dict_blob, owner);
         break;
     }
     NDV_CHECK(built != nullptr);

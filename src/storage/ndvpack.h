@@ -15,12 +15,14 @@
 namespace ndv {
 
 // ndvpack — the library's binary columnar interchange format. A packed
-// table opens by mmap with no parse step: Int64/Double columns are raw
+// table opens by mmap with no copy: Int64/Double columns are raw
 // little-endian arrays read in place, String columns are dictionary-encoded
-// (int32 code array + offset-indexed UTF-8 blob). Estimates over a mapped
-// table are bit-identical to the heap-column path because the mapped
-// columns reuse the exact same hash kernels (Hash64 / HashDoubleValue /
-// HashBytes over identical bytes).
+// (int32 code array + offset-indexed UTF-8 blob). A v1 image loads as the
+// same blocked columns a v2 image does (storage/blocked_column.h), cut into
+// raw blocks that alias the arrays, so both formats share one read path.
+// Estimates over a loaded table are bit-identical to the heap-column path
+// because the blocked columns reuse the exact same hash kernels (Hash64 /
+// HashDoubleValue / HashBytes over identical bytes).
 //
 // Wire layout (all integers little-endian; DESIGN.md §12):
 //
@@ -91,8 +93,8 @@ std::string SerializePack(const Table& table);
 Status WritePackFile(const Table& table, const std::string& path);
 
 // Serializes `table` to `path` in the v1 (uncompressed, non-blocked)
-// format. v1 files remain fully readable; this exists for compatibility
-// fixtures and for consumers that want aliasable whole-column arrays.
+// format. v1 files remain fully readable; this writer produces the v1
+// images that the compatibility tests and `ndv_pack --v1` rely on.
 Status WritePackFileV1(const Table& table, const std::string& path);
 
 // Parses and fully validates one ndvpack image. `bytes.data()` must be
@@ -100,15 +102,17 @@ Status WritePackFileV1(const Table& table, const std::string& path);
 // into `bytes` and share its lifetime.
 StatusOr<PackView> ParsePack(std::span<const uint8_t> bytes);
 
-// Builds a Table of zero-copy mapped columns over `view`. Every column
-// retains `owner`, so the Table may outlive the caller's reference to the
-// backing buffer but never the buffer itself.
+// Builds a Table of zero-copy blocked columns over `view`: each array is
+// cut into kDefaultPackBlockRows-row raw blocks aliasing the buffer (the
+// last block may be partial), the shape of a raw-codec v2 column. Every
+// column retains `owner`, so the Table may outlive the caller's reference
+// to the backing buffer but never the buffer itself.
 Table TableFromPack(const PackView& view, std::shared_ptr<const void> owner);
 
 // Maps `path` and returns its table, dispatching on the magic: v1 images
-// parse to mapped whole-column views, v2 images (storage/pack_reader.h)
-// to block-granular columns. This is the whole "ingest" step for packed
-// data.
+// go through ParsePack and TableFromPack, v2 images through
+// storage/pack_reader.h; both yield blocked columns. This is the whole
+// "ingest" step for packed data.
 StatusOr<Table> OpenPackFile(const std::string& path);
 
 // True when `head` begins with either ndvpack magic — v1 "NDVPACK1" or v2

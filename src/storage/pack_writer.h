@@ -167,9 +167,9 @@ class PackWriter {
 };
 
 // Streams every row of table column `c` into `writer` in bounded chunks.
-// Accepts heap, mapped (v1), and blocked (v2) columns, so repacking never
-// materializes a full column. Caller brackets with StartColumn /
-// FinishColumn.
+// Accepts heap columns and the blocked columns either pack format loads
+// as, so repacking never materializes a full column. Caller brackets with
+// StartColumn / FinishColumn.
 [[nodiscard]] Status AppendTableColumn(PackWriter& writer, const Table& table,
                                        int64_t c);
 

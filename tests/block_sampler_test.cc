@@ -101,7 +101,8 @@ TEST(BlockSamplerTest, AllColumnTypes) {
   Rng rng(31);
   for (int64_t i = 0; i < 3000; ++i) {
     doubles.push_back(static_cast<double>(rng.NextBounded(77)) / 4.0);
-    strings.push_back("k" + std::to_string(rng.NextBounded(123)));
+    strings.push_back(
+        std::string("k").append(std::to_string(rng.NextBounded(123))));
   }
   const DoubleColumn dcol(std::move(doubles));
   const StringColumn scol(strings);
@@ -115,9 +116,9 @@ TEST(BlockSamplerTest, AllColumnTypes) {
   }
 }
 
-TEST(BlockSamplerTest, MappedColumnsEqualHeapColumns) {
+TEST(BlockSamplerTest, PackColumnsEqualHeapColumns) {
   // The distributed workers' invariant: the same reservoir comes out of a
-  // heap column and its mmap-format twin.
+  // heap column and its v1-pack twin.
   Table heap;
   heap.AddColumn("i", MakeInts(5000, 13));
   const std::string bytes = SerializePack(heap);
@@ -126,21 +127,21 @@ TEST(BlockSamplerTest, MappedColumnsEqualHeapColumns) {
   const auto view = ParsePack(
       {reinterpret_cast<const uint8_t*>(aligned.data()), bytes.size()});
   ASSERT_TRUE(view.ok()) << view.status().ToString();
-  const Table mapped = TableFromPack(*view, nullptr);
+  const Table packed = TableFromPack(*view, nullptr);
 
   for (const int64_t block_rows : {1, 64, 4096}) {
     BlockSampleOptions options;
     options.block_rows = block_rows;
     const ReservoirSamplerL from_heap = BlockSampleColumn(
         heap.column(0), 0, heap.NumRows(), 150, Rng(47), options);
-    const ReservoirSamplerL from_mapped = BlockSampleColumn(
-        mapped.column(0), 0, mapped.NumRows(), 150, Rng(47), options);
-    EXPECT_EQ(from_heap.sample(), from_mapped.sample())
+    const ReservoirSamplerL from_packed = BlockSampleColumn(
+        packed.column(0), 0, packed.NumRows(), 150, Rng(47), options);
+    EXPECT_EQ(from_heap.sample(), from_packed.sample())
         << "block_rows=" << block_rows;
     // And both equal the reference loop over the heap column.
     const ReservoirSamplerL reference =
         PerRowSample(heap.column(0), 0, heap.NumRows(), 150, Rng(47));
-    EXPECT_EQ(reference.sample(), from_mapped.sample());
+    EXPECT_EQ(reference.sample(), from_packed.sample());
   }
 }
 

@@ -191,6 +191,22 @@ TEST(IncrementalStatsTest, SnapshotEstimateStaysInsideGeeBracket) {
   EXPECT_EQ(snapshot.method, "GEE");
 }
 
+TEST(IncrementalStatsTest, ReservoirSummaryIsExactBelowCapacity) {
+  IncrementalStatsOptions options;
+  options.reservoir_capacity = 1000;
+  IncrementalStats stats(options);
+  EXPECT_DEATH(stats.ReservoirSummary(), "no rows");
+  for (uint64_t v = 0; v < 100; ++v) {
+    stats.Add(Hash64(v % 25));  // 25 distinct values, 4 copies each
+  }
+  // The reservoir is not yet full, so it holds the whole stream.
+  const SampleSummary summary = stats.ReservoirSummary();
+  EXPECT_EQ(summary.n(), 100);
+  EXPECT_EQ(summary.r(), 100);
+  EXPECT_EQ(summary.d(), 25);
+  EXPECT_EQ(summary.f(4), 25);
+}
+
 TEST(IncrementalStatsTest, DriftSemantics) {
   IncrementalStats stats(IncrementalStatsOptions{});
   // Never marked fresh: infinitely stale, infinite drift.
@@ -203,6 +219,18 @@ TEST(IncrementalStatsTest, DriftSemantics) {
   EXPECT_EQ(stats.rows_at_fresh(), 10000);
   EXPECT_FALSE(stats.IsStale(0.2));
 
+  // A bad knob clamps to 0 ("any append is stale") instead of aborting:
+  // fresh with no appends since the baseline, stale after a single one.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {0.0, -1.0, kNaN}) {
+    EXPECT_FALSE(stats.IsStale(bad)) << bad;
+  }
+  stats.Add(Hash64(123456789));
+  for (const double bad : {0.0, -1.0, kNaN}) {
+    EXPECT_TRUE(stats.IsStale(bad)) << bad;
+  }
+  EXPECT_FALSE(stats.IsStale(0.2));  // a sane threshold tolerates one row
+
   // Appending mostly-new values moves the sketch estimate away from the
   // baseline and trips the volume rule once past the fraction.
   stats.AddHashes(HashStream(6, 5000, 100000));
@@ -210,9 +238,28 @@ TEST(IncrementalStatsTest, DriftSemantics) {
   EXPECT_TRUE(stats.IsStale(0.2));   // 50% appended > 20%
   EXPECT_FALSE(stats.IsStale(0.9));  // but not > 90%
 
-  const auto bad = stats.IsStaleOrStatus(-1.0);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  // A new baseline (the re-ANALYZE publication) makes it fresh again.
+  stats.MarkFresh();
+  EXPECT_EQ(stats.rows_at_fresh(), 15001);
+  EXPECT_EQ(stats.DriftSinceFresh(), 0.0);
+  EXPECT_FALSE(stats.IsStale(0.2));
+
+  // The Status form rejects every non-finite or non-positive knob.
+  for (const double bad :
+       {0.0, -0.5, -1.0, kNaN, std::numeric_limits<double>::infinity()}) {
+    const auto result = stats.IsStaleOrStatus(bad);
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+
+  // An empty baseline stays fresh only until the first append, at any
+  // threshold (no division by the zero baseline).
+  IncrementalStats empty(IncrementalStatsOptions{});
+  empty.MarkFresh();
+  EXPECT_EQ(empty.rows_at_fresh(), 0);
+  EXPECT_FALSE(empty.IsStale(0.2));
+  empty.Add(Hash64(1));
+  EXPECT_TRUE(empty.IsStale(1e9));
 }
 
 TEST(PartitionedIngestTest, BitIdenticalAcrossThreadCounts) {

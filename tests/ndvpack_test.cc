@@ -1,8 +1,9 @@
 // The ndvpack storage layer's contract: a packed table is the same table.
 // CSV -> pack -> mmap columns must equal the heap columns value-for-value
 // and hash-for-hash (including NaN / -0.0 canonicalization and strings
-// with embedded quotes/newlines), AnalyzeTable over mapped columns must be
-// thread-count invariant and bit-identical to the heap path, and the
+// with embedded quotes/newlines), v1 images must load as raw-block blocked
+// columns, AnalyzeTable over either pack format must be thread-count
+// invariant and bit-identical to the heap path, and the
 // deserializer must reject every corruption with a Status, never a crash.
 
 #include <cmath>
@@ -16,8 +17,10 @@
 #include <gtest/gtest.h>
 
 #include "catalog/stats_catalog.h"
-#include "storage/mapped_column.h"
+#include "storage/blocked_column.h"
 #include "storage/ndvpack.h"
+#include "storage/pack_codec.h"
+#include "storage/pack_writer.h"
 #include "storage/table_loader.h"
 #include "table/csv.h"
 #include "table/table.h"
@@ -164,8 +167,9 @@ TEST(NdvPackTest, ZeroRowColumnsRoundTrip) {
   ExpectTablesEqual(table, mapped);
 }
 
-TEST(NdvPackTest, AnalyzeTableBitIdenticalHeapVsMappedAtAnyThreadCount) {
-  // A larger synthetic table so sampling actually exercises the columns.
+TEST(NdvPackTest, AnalyzeTableBitIdenticalHeapVsPackAtAnyThreadCount) {
+  // A larger synthetic table so sampling actually exercises the columns,
+  // across several 4096-row blocks with a partial last one.
   std::vector<int64_t> ints;
   std::vector<double> doubles;
   std::vector<std::string> strings;
@@ -174,32 +178,99 @@ TEST(NdvPackTest, AnalyzeTableBitIdenticalHeapVsMappedAtAnyThreadCount) {
     ints.push_back(static_cast<int64_t>(rng.NextBounded(512)));
     doubles.push_back(
         static_cast<double>(rng.NextBounded(97)) / 8.0);
-    strings.push_back("v" + std::to_string(rng.NextBounded(300)));
+    strings.push_back(
+        std::string("v").append(std::to_string(rng.NextBounded(300))));
   }
   Table heap;
   heap.AddColumn("i", std::make_unique<Int64Column>(std::move(ints)));
   heap.AddColumn("d", std::make_unique<DoubleColumn>(std::move(doubles)));
   heap.AddColumn("s", std::make_unique<StringColumn>(strings));
 
-  const std::string path = TempPath("analyze_invariance.ndvpack");
-  ASSERT_TRUE(WritePackFile(heap, path).ok());
-  const auto mapped = OpenPackFile(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  // Both formats: v1 through ParsePack + TableFromPack, and the default
+  // v2 writer.
+  const std::string v1_path = TempPath("analyze_invariance_v1.ndvpack");
+  const std::string v2_path = TempPath("analyze_invariance_v2.ndvpack");
+  ASSERT_TRUE(WritePackFileV1(heap, v1_path).ok());
+  ASSERT_TRUE(WritePackFile(heap, v2_path).ok());
 
   AnalyzeOptions options;
   options.sample_fraction = 0.05;
   options.seed = 99;
-  for (const bool exact : {false, true}) {
-    options.exact = exact;
-    options.threads = 1;
-    const StatsCatalog heap_catalog = AnalyzeTable(heap, options);
-    const std::string heap_serialized = heap_catalog.Serialize();
-    for (const int threads : {1, 2, 3, 8}) {
-      options.threads = threads;
-      const StatsCatalog mapped_catalog = AnalyzeTable(*mapped, options);
-      EXPECT_EQ(heap_serialized, mapped_catalog.Serialize())
-          << "exact=" << exact << " threads=" << threads;
+  for (const std::string& path : {v1_path, v2_path}) {
+    SCOPED_TRACE(path);
+    const auto packed = OpenPackFile(path);
+    ASSERT_TRUE(packed.ok()) << packed.status().ToString();
+    for (const bool exact : {false, true}) {
+      options.exact = exact;
+      options.threads = 1;
+      const StatsCatalog heap_catalog = AnalyzeTable(heap, options);
+      const std::string heap_serialized = heap_catalog.Serialize();
+      for (const int threads : {1, 2, 3, 8}) {
+        options.threads = threads;
+        const StatsCatalog packed_catalog = AnalyzeTable(*packed, options);
+        EXPECT_EQ(heap_serialized, packed_catalog.Serialize())
+            << "exact=" << exact << " threads=" << threads;
+      }
     }
+  }
+}
+
+TEST(NdvPackTest, V1LoadsAsRawBlockedColumns) {
+  // A v1 image loads into the blocked column family, cut into raw blocks
+  // of the default size with a partial last block: the same block list a
+  // raw-codec v2 file at the default block size opens to.
+  const int64_t rows = 2 * kDefaultPackBlockRows + 5;
+  std::vector<int64_t> ints(static_cast<size_t>(rows));
+  std::vector<double> doubles(static_cast<size_t>(rows));
+  std::vector<std::string> strings(static_cast<size_t>(rows));
+  for (int64_t i = 0; i < rows; ++i) {
+    ints[static_cast<size_t>(i)] = i * 7;
+    doubles[static_cast<size_t>(i)] = static_cast<double>(i % 11) / 4.0;
+    strings[static_cast<size_t>(i)] =
+        std::string("s").append(std::to_string(i % 13));
+  }
+  Table heap;
+  heap.AddColumn("i", std::make_unique<Int64Column>(std::move(ints)));
+  heap.AddColumn("d", std::make_unique<DoubleColumn>(std::move(doubles)));
+  heap.AddColumn("s", std::make_unique<StringColumn>(strings));
+
+  const std::string v1_path = TempPath("blocked_v1.ndvpack");
+  ASSERT_TRUE(WritePackFileV1(heap, v1_path).ok());
+  PackWriteOptions raw;
+  raw.codec = PackCodecChoice::kForceRaw;
+  const std::string v2_path = TempPath("blocked_v2_raw.ndvpack");
+  ASSERT_TRUE(WritePackFileV2(heap, v2_path, raw).ok());
+  const auto v2 = OpenPackFile(v2_path);
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  const auto* v2_ints = dynamic_cast<const BlockedInt64Column*>(&v2->column(0));
+  ASSERT_NE(v2_ints, nullptr);
+
+  for (const bool through_auto : {false, true}) {
+    SCOPED_TRACE(through_auto ? "LoadTableAuto" : "OpenPackFile");
+    const auto v1 =
+        through_auto ? LoadTableAuto(v1_path) : OpenPackFile(v1_path);
+    ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+    ExpectTablesEqual(heap, *v1);
+
+    const auto* i64 = dynamic_cast<const BlockedInt64Column*>(&v1->column(0));
+    const auto* dbl =
+        dynamic_cast<const BlockedDoubleColumn*>(&v1->column(1));
+    const auto* str =
+        dynamic_cast<const BlockedStringColumn*>(&v1->column(2));
+    ASSERT_NE(i64, nullptr);
+    ASSERT_NE(dbl, nullptr);
+    ASSERT_NE(str, nullptr);
+    EXPECT_EQ(i64->block_rows(), kDefaultPackBlockRows);
+    EXPECT_EQ(dbl->block_rows(), kDefaultPackBlockRows);
+    EXPECT_EQ(str->block_rows(), kDefaultPackBlockRows);
+    ASSERT_EQ(i64->blocks().size(), 3u);
+    ASSERT_EQ(i64->blocks().size(), v2_ints->blocks().size());
+    for (size_t b = 0; b < i64->blocks().size(); ++b) {
+      EXPECT_EQ(i64->blocks()[b].codec, PackBlockCodec::kRaw);
+      EXPECT_EQ(i64->blocks()[b].rows, v2_ints->blocks()[b].rows);
+      EXPECT_EQ(i64->blocks()[b].length, v2_ints->blocks()[b].length);
+    }
+    EXPECT_EQ(i64->blocks().back().rows, 5);
   }
 }
 

@@ -319,7 +319,9 @@ TEST(PackV2Test, FailedWriteLeavesNoDestinationFile) {
 }
 
 TEST(PackV2Test, V1FilesStillLoadAndRepackToV2) {
-  const Table table = MakeMixedTable(40);
+  // Several default-size blocks and a partial last one, so the shuffled,
+  // sorted and last-block gathers cross the v1 load's block boundaries.
+  const Table table = MakeMixedTable(3 * kDefaultPackBlockRows + 17);
   const std::string v1_path = TempPath("pack_v2_compat_v1.ndvpack");
   ASSERT_TRUE(WritePackFileV1(table, v1_path).ok());
 
@@ -327,7 +329,7 @@ TEST(PackV2Test, V1FilesStillLoadAndRepackToV2) {
   ASSERT_TRUE(v1_loaded.ok()) << v1_loaded.status().ToString();
   ExpectTablesEqual(table, *v1_loaded);
 
-  // Repack the mapped v1 table into v2 through the streaming column
+  // Repack the loaded v1 table into v2 through the streaming column
   // copier, then reopen.
   const std::string v2_path = TempPath("pack_v2_compat_v2.ndvpack");
   ASSERT_TRUE(WritePackFileV2(*v1_loaded, v2_path).ok());
