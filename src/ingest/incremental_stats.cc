@@ -175,18 +175,6 @@ double IncrementalStats::DriftSinceFresh() const {
   return std::abs(SketchEstimate() - sketch_at_fresh_);
 }
 
-bool IncrementalStats::IsStale(double changed_fraction) const {
-  // A bad knob (NaN, zero, negative) is clamped to 0 — "any append since
-  // the baseline is stale" — instead of aborting: a long-running server
-  // must not crash on a client-supplied threshold.
-  if (!(changed_fraction > 0.0)) changed_fraction = 0.0;
-  if (rows_at_fresh_ < 0) return true;
-  if (rows_at_fresh_ == 0) return rows() > 0;
-  const double changed = static_cast<double>(rows() - rows_at_fresh_) /
-                         static_cast<double>(rows_at_fresh_);
-  return changed > changed_fraction;
-}
-
 StatusOr<bool> IncrementalStats::IsStaleOrStatus(
     double changed_fraction) const {
   if (!std::isfinite(changed_fraction) || changed_fraction <= 0.0) {
@@ -194,7 +182,11 @@ StatusOr<bool> IncrementalStats::IsStaleOrStatus(
         "changed_fraction must be a finite positive number, got %g",
         changed_fraction);
   }
-  return IsStale(changed_fraction);
+  if (rows_at_fresh_ < 0) return true;
+  if (rows_at_fresh_ == 0) return rows() > 0;
+  const double changed = static_cast<double>(rows() - rows_at_fresh_) /
+                         static_cast<double>(rows_at_fresh_);
+  return changed > changed_fraction;
 }
 
 bool IncrementalStats::MergeCompatible(const IncrementalStats& other) const {

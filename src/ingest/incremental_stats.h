@@ -136,9 +136,8 @@ class IncrementalStats {
   void MarkFresh();
   bool fresh() const { return rows_at_fresh_ >= 0; }
   int64_t rows_at_fresh() const { return rows_at_fresh_; }
-  double sketch_at_fresh() const { return sketch_at_fresh_; }
 
-  // |SketchEstimate() - sketch_at_fresh()|: how far the running distinct
+  // |SketchEstimate() now - at MarkFresh|: how far the running distinct
   // count has moved since the last full re-ANALYZE, in O(registers). A
   // tracker that was never marked fresh reports +infinity (infinitely
   // stale). Because the baseline estimate lies inside the published
@@ -149,10 +148,8 @@ class IncrementalStats {
   // Rule-1 staleness (PostgreSQL-style autovacuum trigger): rows appended
   // since the baseline exceed `changed_fraction` of the rows at the
   // baseline. Never-fresh is always stale, and a zero-row baseline is
-  // stale after any append. IsStale clamps a bad knob (zero, negative,
-  // NaN) to 0, so any append is stale; IsStaleOrStatus rejects any
-  // non-finite or non-positive knob with InvalidArgument.
-  bool IsStale(double changed_fraction = 0.2) const;
+  // stale after any append. A non-finite or non-positive knob is rejected
+  // with InvalidArgument.
   StatusOr<bool> IsStaleOrStatus(double changed_fraction) const;
 
   // True when `other` was built with the same sketch/reservoir geometry

@@ -12,94 +12,44 @@ StatsService::StatsService(std::shared_ptr<const Table> table,
                            StatsServiceOptions options)
     : table_(std::move(table)),
       options_(std::move(options)),
-      clock_(options_.clock == nullptr ? SystemClock() : *options_.clock) {
+      clock_(options_.clock == nullptr ? SystemClock() : *options_.clock),
+      // Recovery boot: the durable catalog already holds the last
+      // acknowledged statistics — serve them at the recovered epoch.
+      catalog_(options_.durable != nullptr ? options_.durable->state()
+                                           : StatsCatalog(),
+               options_.durable != nullptr ? options_.durable->epoch() : 0),
+      // The tracker seed only drives reservoirs the service never reads,
+      // and the service never Appends, so no drift-fired re-ANALYZE runs.
+      maintainer_(
+          &catalog_,
+          [this]() -> StatusOr<StatsCatalog> {
+            return AnalyzeTable(*table_, options_.analyze);
+          },
+          {.tracker = {.seed = options_.analyze.seed}, .background = false},
+          options_.durable) {
   NDV_CHECK_MSG(table_ != nullptr, "StatsService requires a table");
   NDV_CHECK_MSG(options_.max_inflight >= 1,
                 "max_inflight must be >= 1, got %d", options_.max_inflight);
-  NDV_CHECK_MSG(options_.tracker_reservoir >= 1,
-                "tracker_reservoir must be >= 1, got %lld",
-                static_cast<long long>(options_.tracker_reservoir));
 
-  // Warm one incremental tracker per column with the table's current rows,
-  // so drift fractions are measured against the real table size and the
-  // tracker's reservoir is a live uniform sample of the column. The
-  // constructor is single-threaded, but trackers_ is guarded state: hold
-  // its lock so the warm-up fill lives inside the declared capability
-  // (this was an unlocked write before the annotations landed).
-  {
-    MutexLock lock(tracker_mutex_);
-    for (int64_t c = 0; c < table_->NumColumns(); ++c) {
-      const Column& column = table_->column(c);
-      IncrementalStatsOptions tracker_options;
-      tracker_options.reservoir_capacity = options_.tracker_reservoir;
-      tracker_options.seed =
-          options_.analyze.seed + static_cast<uint64_t>(c) + 1;
-      auto tracker = std::make_unique<IncrementalStats>(tracker_options);
-      column.PrepareFullScan();
-      tracker->AppendBatch(FullColumnSlice(column));
-      trackers_.emplace(table_->column_name(c), std::move(tracker));
-    }
+  // Warm one tracker per column with the table's current rows, so drift
+  // fractions are measured against the real table size. A recovered
+  // catalog's entries become the drift baselines right here. A repeated
+  // column name keeps the first column's tracker.
+  for (int64_t c = 0; c < table_->NumColumns(); ++c) {
+    if (table_->FindColumn(table_->column_name(c)) != c) continue;
+    const Column& column = table_->column(c);
+    column.PrepareFullScan();
+    maintainer_.Track(table_->column_name(c), FullColumnSlice(column));
   }
 
-  if (options_.durable != nullptr && options_.durable->epoch() > 0) {
-    // Recovery boot: the durable catalog already holds the last
-    // acknowledged statistics — publish them at the recovered epoch and
-    // skip the table scan entirely. The recovered stats were fresh when
-    // journaled, so they reset the drift baseline like a publication.
-    catalog_.PublishAt(options_.durable->state(), options_.durable->epoch());
-    MutexLock lock(tracker_mutex_);
-    for (auto& [name, tracker] : trackers_) tracker->MarkFresh();
-  } else {
+  if (catalog_.epoch() == 0) {
     // First publication: the service is queryable at epoch 1 from the
     // start. A journal failure here means the store is unusable — refuse
     // to come up rather than serve statistics recovery cannot reproduce.
-    const auto published = ReanalyzeAndPublish();
+    const auto published = maintainer_.Reanalyze();
     NDV_CHECK_MSG(published.ok(), "initial publication failed: %s",
                   published.status().ToString().c_str());
   }
-}
-
-StatusOr<uint64_t> StatsService::ReanalyzeAndPublish() {
-  StatsCatalog fresh = AnalyzeTable(*table_, options_.analyze);
-  uint64_t epoch;
-  if (options_.durable != nullptr) {
-    // Write-ahead: journal first, publish second. A crash between the two
-    // replays the publication on the next boot; the reverse order could
-    // acknowledge an epoch that recovery cannot reproduce.
-    NDV_RETURN_IF_ERROR(options_.durable->AppendPublish(fresh));
-    epoch = catalog_.PublishAt(std::move(fresh), options_.durable->epoch());
-  } else {
-    epoch = catalog_.Publish(std::move(fresh));
-  }
-  // The fresh publication resets every column's drift baseline.
-  MutexLock lock(tracker_mutex_);
-  for (auto& [name, tracker] : trackers_) tracker->MarkFresh();
-  return epoch;
-}
-
-StatusOr<bool> StatsService::ColumnIsStale(const ColumnStats& published) {
-  MutexLock lock(tracker_mutex_);
-  const auto it = trackers_.find(published.column_name);
-  if (it == trackers_.end()) return false;  // No insert feed: trust cache.
-  const IncrementalStats& tracker = *it->second;
-
-  // Fast path: nothing inserted since the last publication.
-  if (tracker.rows() == tracker.rows_at_fresh()) return false;
-
-  // Rule 1 — volume trigger: the inserted volume alone exceeds the
-  // configured fraction of the rows the statistics were built over.
-  auto volume = tracker.IsStaleOrStatus(options_.stale_changed_fraction);
-  if (!volume.ok()) return volume.status();
-  if (*volume) return true;
-
-  // Rule 2 — interval escape: the tracker's running sketch estimate has
-  // moved further from its at-publication baseline than the published
-  // [LOWER, UPPER] bracket is wide, which proves the estimate left the
-  // bracket. The width is the tolerance: a wide (low-information)
-  // interval absorbs more drift before forcing a re-ANALYZE than a tight
-  // one. O(1) in the sketch registers — no estimator re-evaluation over
-  // the reservoir on this path.
-  return tracker.DriftSinceFresh() > published.upper - published.lower;
 }
 
 Message StatsService::HandleGetStats(const Message& request) {
@@ -114,7 +64,8 @@ Message StatsService::HandleGetStats(const Message& request) {
     reply.request_id = request.request_id;
     return reply;
   }
-  auto stale = ColumnIsStale(*found);
+  auto stale = maintainer_.ColumnIsStale(request.column,
+                                         options_.stale_changed_fraction);
   if (!stale.ok()) {
     Message reply = ErrorMessage(stale.status());
     reply.request_id = request.request_id;
@@ -140,7 +91,8 @@ Message StatsService::HandleAnalyze(const Message& request) {
     const auto snapshot = Snapshot();
     bool any_stale = false;
     for (const ColumnStats& stats : snapshot->catalog.entries()) {
-      auto stale = ColumnIsStale(stats);
+      auto stale = maintainer_.ColumnIsStale(
+          stats.column_name, options_.stale_changed_fraction);
       if (!stale.ok()) {
         Message error = ErrorMessage(stale.status());
         error.request_id = request.request_id;
@@ -151,14 +103,12 @@ Message StatsService::HandleAnalyze(const Message& request) {
         break;
       }
     }
-    if (!any_stale) {
+    if (!any_stale) {  // A cache hit: nothing analyzed or refreshed.
       reply.epoch = snapshot->epoch;
-      reply.analyzed_columns = 0;
-      reply.refreshed = false;
       return reply;
     }
   }
-  const auto published = ReanalyzeAndPublish();
+  const auto published = maintainer_.Reanalyze();
   if (!published.ok()) {
     Message error = ErrorMessage(published.status());
     error.request_id = request.request_id;
@@ -230,14 +180,6 @@ Message StatsService::Submit(const Message& request) {
   return reply;
 }
 
-void StatsService::ObserveInserts(const std::string& column,
-                                  const std::vector<uint64_t>& hashes) {
-  MutexLock lock(tracker_mutex_);
-  const auto it = trackers_.find(column);
-  if (it == trackers_.end()) return;
-  it->second->AddHashes(hashes);
-}
-
 int StatsService::inflight() const {
   MutexLock lock(inflight_mutex_);
   return inflight_;
@@ -249,8 +191,8 @@ void ServeConnection(Transport& transport, StatsService& service,
     auto payload = transport.Receive(idle_timeout_ms);
     if (!payload.ok()) return;  // Peer closed or the connection idled out.
     auto request = DecodeMessage(*payload);
-    const Message reply =
-        request.ok() ? service.Submit(*request) : ErrorMessage(request.status());
+    const Message reply = request.ok() ? service.Submit(*request)
+                                       : ErrorMessage(request.status());
     if (!transport.Send(EncodeMessage(reply)).ok()) return;
   }
 }

@@ -2,7 +2,6 @@
 #define NDV_SERVE_STATS_SERVICE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,7 +12,7 @@
 #include "common/thread_annotations.h"
 #include "distributed/clock.h"
 #include "distributed/retry.h"
-#include "ingest/incremental_stats.h"
+#include "ingest/maintenance.h"
 #include "serve/protocol.h"
 #include "serve/transport.h"
 #include "table/table.h"
@@ -27,15 +26,14 @@ namespace ndv {
 //   * Reads resolve against a ConcurrentStatsCatalog snapshot — an
 //     immutable epoch — so GET_STATS never blocks an in-flight ANALYZE and
 //     never observes a torn catalog.
-//   * The published catalog IS the per-table result cache. Staleness per
-//     column combines the volume trigger (IncrementalStats::
-//     IsStaleOrStatus over inserts observed since the last publication)
-//     with the paper's interval: a column is also stale when its
-//     tracker's running sketch estimate drifts out of the published
-//     [LOWER, UPPER] bracket — a wide (low-information) interval
-//     tolerates more drift before forcing a re-ANALYZE than a tight one.
-//     The drift read is O(1) in the tracker's sketch registers (no
-//     estimator re-evaluation over the reservoir on the probe path).
+//   * The published catalog IS the per-table result cache. One
+//     StatsMaintainer (ingest/maintenance.h) owns the per-column insert
+//     trackers, the stale bit and every publication, journaled first when
+//     durability is on. A column is stale when the rows inserted since the
+//     last publication pass the volume rule, or when the drift trigger
+//     fires: the running sketch estimate moved further than the published
+//     [LOWER, UPPER] bracket is wide, so a wide (low-information) interval
+//     tolerates more drift than a tight one. Inserts publish nothing.
 //   * ANALYZE with force=false is a cache probe: it re-analyzes and
 //     publishes a new epoch only if some column is stale, otherwise it
 //     answers with the current epoch and refreshed=false.
@@ -46,13 +44,9 @@ namespace ndv {
 
 struct StatsServiceOptions {
   AnalyzeOptions analyze;  // estimator, sample fraction, seed, threads
-  // Drift threshold fed to IsStaleOrStatus (fraction of rows changed since
-  // the last publication that makes a column stale).
+  // Volume-rule threshold fed to IsStaleOrStatus (fraction of rows changed
+  // since the last publication that makes a column stale).
   double stale_changed_fraction = 0.2;
-  // Reservoir capacity of each column's incremental tracker (the other
-  // tracker knobs — sketch sizes, sampled-profile rate — use the
-  // IncrementalStatsOptions defaults).
-  int64_t tracker_reservoir = 4096;
   // Admission bound: requests executing concurrently before load shedding.
   int max_inflight = 256;
   Clock* clock = nullptr;  // nullptr = SystemClock()
@@ -83,11 +77,12 @@ class StatsService {
   Message Submit(const Message& request);
 
   // Feeds the insert path: `hashes` are value hashes of rows appended to
-  // `column` since the last ANALYZE. Drives the staleness rule; unknown
-  // columns are ignored (the next full ANALYZE will pick them up).
+  // `column` since the last ANALYZE. Drives the staleness rules and
+  // publishes nothing; unknown columns are ignored.
   void ObserveInserts(const std::string& column,
-                      const std::vector<uint64_t>& hashes)
-      NDV_EXCLUDES(tracker_mutex_);
+                      const std::vector<uint64_t>& hashes) {
+    maintainer_.Observe(column, hashes);
+  }
 
   // Read-side snapshot access (also used by benchmarks/tests).
   std::shared_ptr<const CatalogEpoch> Snapshot() const {
@@ -99,37 +94,20 @@ class StatsService {
   int inflight() const NDV_EXCLUDES(inflight_mutex_);
 
  private:
-  Message HandleGetStats(const Message& request)
-      NDV_EXCLUDES(tracker_mutex_);
-  Message HandleAnalyze(const Message& request)
-      NDV_EXCLUDES(analyze_mutex_, tracker_mutex_);
+  Message HandleGetStats(const Message& request);
+  Message HandleAnalyze(const Message& request) NDV_EXCLUDES(analyze_mutex_);
   Message HandleList();
-  // Staleness of one column under the published epoch; OK result pairs the
-  // verdict with the rule that fired (for logs/tests).
-  StatusOr<bool> ColumnIsStale(const ColumnStats& published)
-      NDV_EXCLUDES(tracker_mutex_);
-  // Runs AnalyzeTable, journals the result (when durability is on), and
-  // publishes it; returns the new epoch. Fails only when the journal
-  // append fails — in which case nothing was published and no reader ever
-  // observes the unacknowledged statistics.
-  StatusOr<uint64_t> ReanalyzeAndPublish() NDV_EXCLUDES(tracker_mutex_);
 
   const std::shared_ptr<const Table> table_;
   const StatsServiceOptions options_;
   Clock& clock_;
   ConcurrentStatsCatalog catalog_;
+  // Trackers, staleness and every publication into catalog_.
+  StatsMaintainer maintainer_;
 
   // Serializes re-ANALYZE work so a thundering herd of stale probes runs
-  // one table scan, not N. Ordered before tracker_mutex_: the analyze path
-  // holds it across ReanalyzeAndPublish, which takes tracker_mutex_ to
-  // reset drift baselines.
-  Mutex analyze_mutex_ NDV_ACQUIRED_BEFORE(tracker_mutex_);
-
-  // Insert trackers, one per column; guarded by tracker_mutex_ (the
-  // serving hot path only reads row counters and sketch registers).
-  mutable Mutex tracker_mutex_;
-  std::map<std::string, std::unique_ptr<IncrementalStats>> trackers_
-      NDV_GUARDED_BY(tracker_mutex_);
+  // one table scan, not N.
+  Mutex analyze_mutex_;
 
   // Admission control.
   mutable Mutex inflight_mutex_;

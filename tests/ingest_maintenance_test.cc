@@ -10,13 +10,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "catalog/concurrent_catalog.h"
+#include "catalog/durable_catalog.h"
 #include "catalog/stats_catalog.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -253,6 +256,82 @@ TEST(StatsMaintainerTest, BackgroundReanalyzeCompletesUnderConcurrentAppends) {
   EXPECT_EQ(counters.reanalyzes + counters.reanalyze_failures,
             counters.drift_fires);
   EXPECT_TRUE(maintainer.last_reanalyze_status().ok());
+}
+
+// With a journal attached, every epoch a reader sees — incremental Puts and
+// the drift-fired re-ANALYZEs alike — is journaled first, and reopening the
+// journal recovers the last reader-visible catalog bit for bit.
+TEST(StatsMaintainerTest, JournaledPublicationsTrackTheJournalAndRecover) {
+  const std::string dir = testing::TempDir() + "/maintainer_journal";
+  std::system(("rm -rf " + dir).c_str());
+  auto durable = DurableCatalog::Open({.dir = dir});
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  ConcurrentStatsCatalog catalog;  // epoch 0, like the fresh journal
+  double width = 0.0;
+  StatsMaintainer maintainer(
+      &catalog,
+      [&]() -> StatusOr<StatsCatalog> {
+        width += 10.0;
+        return OneColumnCatalog("c", 1000.0, 1000.0 + width);
+      },
+      SyncOptions(), durable->get());
+
+  // Boot publication: a synchronous re-ANALYZE, journaled as epoch 1.
+  const auto booted = maintainer.Reanalyze();
+  ASSERT_TRUE(booted.ok()) << booted.status().ToString();
+  EXPECT_EQ(*booted, 1u);
+  EXPECT_EQ((*durable)->epoch(), 1u);
+  maintainer.Track("c", ColumnSlice{});
+
+  for (uint64_t batch = 0; batch < 6; ++batch) {
+    const uint64_t epoch =
+        maintainer.AppendHashes("c", NovelHashes(20 + batch, 400));
+    EXPECT_GE(epoch, 2 + batch);
+    EXPECT_EQ(catalog.epoch(), (*durable)->epoch()) << "batch " << batch;
+  }
+  // Pure duplicates leave the sketch where the last re-ANALYZE left it: an
+  // incremental Put with no fire is the last reader-visible epoch.
+  maintainer.AppendHashes("c", NovelHashes(25, 400));
+  EXPECT_EQ(catalog.epoch(), (*durable)->epoch());
+  const MaintainerCounters counters = maintainer.counters();
+  EXPECT_GE(counters.drift_fires, 1);
+  EXPECT_EQ(counters.reanalyzes, 1 + counters.drift_fires);
+  EXPECT_EQ(counters.publish_failures, 0);
+  EXPECT_TRUE(maintainer.last_publish_status().ok());
+  EXPECT_EQ(catalog.epoch(), static_cast<uint64_t>(counters.publications +
+                                                   counters.reanalyzes));
+
+  const auto served = catalog.Snapshot();
+  durable->reset();
+  auto reopened = DurableCatalog::Open({.dir = dir});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->epoch(), served->epoch);
+  EXPECT_EQ((*reopened)->state().Serialize(), served->catalog.Serialize());
+}
+
+// A journal append that fails publishes nothing: the epoch, the reader
+// view and the journal stay put, and the failure is counted and reported.
+TEST(StatsMaintainerTest, RefusedJournalAppendPublishesNothing) {
+  const std::string dir = testing::TempDir() + "/maintainer_journal_refused";
+  std::system(("rm -rf " + dir).c_str());
+  auto durable = DurableCatalog::Open({.dir = dir});
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  ConcurrentStatsCatalog catalog;
+  StatsMaintainer maintainer(
+      &catalog, []() -> StatusOr<StatsCatalog> { return StatsCatalog{}; },
+      SyncOptions(), durable->get());
+  // A column name past the journal's 64 MiB record cap: AppendPut refuses.
+  const std::string huge((size_t{1} << 26) + 1, 'x');
+  maintainer.Track(huge, ColumnSlice{});
+  EXPECT_EQ(maintainer.AppendHashes(huge, NovelHashes(30, 10)), 0u);
+  EXPECT_EQ(catalog.epoch(), 0u);
+  EXPECT_EQ((*durable)->epoch(), 0u);
+  EXPECT_FALSE(catalog.Find(huge).has_value());
+  const MaintainerCounters counters = maintainer.counters();
+  EXPECT_EQ(counters.publish_failures, 1);
+  EXPECT_EQ(counters.publications, 0);
+  EXPECT_EQ(maintainer.last_publish_status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -126,6 +126,7 @@ TEST(StatsServiceTest, DriftPastThresholdMarksStaleAndAnalyzeRefreshes) {
   novel.reserve(300);
   for (uint64_t v = 0; v < 300; ++v) novel.push_back(Hash64(1000000 + v));
   service.ObserveInserts("value", novel);
+  EXPECT_EQ(service.epoch(), 1u);  // inserts publish nothing
 
   InProcessConnection conn;
   {
@@ -564,6 +565,38 @@ TEST(StatsServiceDurabilityTest, RecoveredBootSkipsRescanAndResumesEpoch) {
   EXPECT_EQ(served.stats.estimate, journaled.estimate);
   EXPECT_EQ(served.stats.sample_rows, journaled.sample_rows);
   EXPECT_EQ(served.stats.method, journaled.method);
+}
+
+// Inserts alone journal nothing; the ANALYZE probe they make stale journals
+// exactly one publication, and the served epoch stays the journal's.
+TEST(StatsServiceDurabilityTest, OnlyAStaleAnalyzeJournals) {
+  const auto table = MakeTestTable(1000, 50);
+  const std::string dir = testing::TempDir() + "/stats_service_stale_journal";
+  std::system(("rm -rf " + dir).c_str());
+  auto durable = DurableCatalog::Open({.dir = dir});
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  auto options = FastOptions();
+  options.durable = durable->get();
+  StatsService service(table, options);
+  const int64_t boot_records = (*durable)->records_since_snapshot();
+  EXPECT_EQ(boot_records, 1);
+
+  std::vector<uint64_t> novel;
+  for (uint64_t v = 0; v < 300; ++v) novel.push_back(Hash64(2000000 + v));
+  service.ObserveInserts("value", novel);
+  EXPECT_EQ((*durable)->records_since_snapshot(), boot_records);
+  EXPECT_EQ((*durable)->epoch(), 1u);
+  EXPECT_EQ(service.epoch(), 1u);
+
+  Message analyze;
+  analyze.type = MessageType::kAnalyze;
+  analyze.force = false;
+  const Message reply = service.Submit(analyze);
+  ASSERT_EQ(reply.type, MessageType::kAnalyzeReply);
+  EXPECT_TRUE(reply.refreshed);
+  EXPECT_EQ((*durable)->records_since_snapshot(), boot_records + 1);
+  EXPECT_EQ(reply.epoch, (*durable)->epoch());
+  EXPECT_EQ(service.epoch(), (*durable)->epoch());
 }
 
 }  // namespace
