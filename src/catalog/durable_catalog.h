@@ -38,9 +38,8 @@ namespace ndv {
 // disk): u32 payload length | u64 Checksum64(payload) | payload, where
 // payload = u8 kind | u64 epoch | body. Kinds: PUT (one binary-encoded
 // ColumnStats) and PUBLISH (whole-catalog replacement: u32 count +
-// ColumnStats each). Integers are fixed-width little-endian, strings are
-// u32 length + raw bytes, doubles travel as their IEEE-754 bit pattern —
-// exactly the serve wire conventions, so "bit-identical" is literal.
+// ColumnStats each). Fields go through the same common/byte_io.h codec
+// and EncodeColumnStats as the serve wire, so "bit-identical" is literal.
 //
 // Replay semantics are EXACT PREFIX: records are applied in order until
 // the first record whose length, checksum, or body fails validation; that

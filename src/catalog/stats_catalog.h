@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/byte_io.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "estimators/estimator.h"
@@ -46,6 +47,16 @@ struct ColumnStats {
     return estimate <= 0.0 ? 1.0 : 1.0 / estimate;
   }
 };
+
+// The binary ColumnStats encoding shared by the serve wire (serve/protocol.h)
+// and the catalog WAL (catalog/durable_catalog.h), in common/byte_io.h
+// conventions: u32-length-prefixed column_name, table_rows, sample_rows and
+// sample_distinct as i64, estimate, lower, upper and coverage as f64,
+// degraded as a 0/1 byte, u32-length-prefixed method.
+void EncodeColumnStats(std::string* out, const ColumnStats& stats);
+// Decodes one EncodeColumnStats body from `reader`; truncation is DataLoss
+// and a degraded byte other than 0 or 1 is InvalidArgument.
+Status DecodeColumnStats(ByteReader* reader, ColumnStats* stats);
 
 struct AnalyzeOptions {
   double sample_fraction = 0.01;
@@ -101,9 +112,6 @@ class StatsCatalog {
   // complete). On malformed input returns InvalidArgument naming the line,
   // the field, and the reason.
   static StatusOr<StatsCatalog> DeserializeOrStatus(std::string_view text);
-
-  // Legacy wrapper: std::nullopt where DeserializeOrStatus errors.
-  static std::optional<StatsCatalog> Deserialize(std::string_view text);
 
  private:
   std::vector<ColumnStats> entries_;

@@ -5,6 +5,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -85,20 +86,16 @@ Status FsyncFd(int fd, const char* what) {
 }
 
 Status FsyncDirOf(const std::string& path) {
-  std::string dir;
   struct stat info;
-  if (::stat(path.c_str(), &info) == 0 && S_ISDIR(info.st_mode)) {
-    dir = path;
-  } else {
-    const size_t slash = path.rfind('/');
-    if (slash == std::string::npos) {
-      dir = ".";
-    } else if (slash == 0) {
-      dir = "/";
-    } else {
-      dir = path.substr(0, slash);
-    }
-  }
+  const bool is_dir =
+      ::stat(path.c_str(), &info) == 0 && S_ISDIR(info.st_mode);
+  // A file's directory is its parent: "name" lives in "." and "/name" in
+  // "/", so the cut keeps at least one byte.
+  const size_t slash = path.rfind('/');
+  const std::string dir = is_dir ? path
+                          : slash == std::string::npos
+                              ? std::string(".")
+                              : path.substr(0, std::max<size_t>(slash, 1));
   const UniqueFd fd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY));
   if (fd.get() < 0) return ErrnoError("open directory", dir);
   return FsyncFd(fd.get(), dir.c_str());

@@ -12,7 +12,6 @@ StatsService::StatsService(std::shared_ptr<const Table> table,
                            StatsServiceOptions options)
     : table_(std::move(table)),
       options_(std::move(options)),
-      clock_(options_.clock == nullptr ? SystemClock() : *options_.clock),
       // Recovery boot: the durable catalog already holds the last
       // acknowledged statistics — serve them at the recovered epoch.
       catalog_(options_.durable != nullptr ? options_.durable->state()

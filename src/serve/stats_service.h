@@ -49,7 +49,6 @@ struct StatsServiceOptions {
   double stale_changed_fraction = 0.2;
   // Admission bound: requests executing concurrently before load shedding.
   int max_inflight = 256;
-  Clock* clock = nullptr;  // nullptr = SystemClock()
   // Optional durability (not owned; must outlive the service). When set,
   // every publication is journaled to the durable catalog's WAL BEFORE it
   // becomes reader-visible, and a service constructed over a non-empty
@@ -100,7 +99,6 @@ class StatsService {
 
   const std::shared_ptr<const Table> table_;
   const StatsServiceOptions options_;
-  Clock& clock_;
   ConcurrentStatsCatalog catalog_;
   // Trackers, staleness and every publication into catalog_.
   StatsMaintainer maintainer_;

@@ -46,7 +46,8 @@ namespace ndv {
 //     string:       uint64 codes_offset, uint64 dict_count,
 //                   uint64 dict_offsets_offset, uint64 dict_blob_offset,
 //                   uint64 dict_blob_length
-//   [size-8..size) uint64 checksum of bytes [0, size - 8)
+//   [size-8..size) uint64 Checksum64 (common/file_io.h) of bytes
+//                  [0, size - 8)
 //
 // The deserializer fully validates before any column is materialized:
 // header magic/version, checksum, every offset/length in bounds and
@@ -56,10 +57,6 @@ namespace ndv {
 
 inline constexpr std::string_view kPackMagic = "NDVPACK1";
 inline constexpr uint32_t kPackVersion = 1;
-
-// Checksum used by the format: 8 bytes at a time through the Hash64 mixer,
-// seeded with the length, zero-padded tail word. ~memory-bandwidth fast.
-uint64_t PackChecksum(std::span<const uint8_t> bytes);
 
 // Zero-copy views into one validated pack image. Spans point into the
 // parsed buffer; they are valid only while that buffer lives.

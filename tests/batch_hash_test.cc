@@ -124,7 +124,8 @@ TEST(BatchHashTest, CombinedColumnMatchesHashAt) {
   for (int i = 0; i < 5000; ++i) {
     ints.push_back(static_cast<int64_t>(rng.NextBounded(100)));
     doubles.push_back(static_cast<double>(rng.NextBounded(50)));
-    strings.push_back("s" + std::to_string(rng.NextBounded(20)));
+    strings.push_back(std::string("s").append(
+        std::to_string(rng.NextBounded(20))));
   }
   const Int64Column a(std::move(ints));
   const DoubleColumn b(std::move(doubles));

@@ -115,7 +115,7 @@ TEST(FuzzRobustnessTest, SummarySerializationRoundTripsRandomProfiles) {
 }
 
 TEST(FuzzRobustnessTest, DeserializerSurvivesGarbage) {
-  // Random byte soup must never crash the parser (nullopt is fine).
+  // Random byte soup must never crash the parser (an error is fine).
   Rng rng(13131313);
   for (int round = 0; round < 2000; ++round) {
     std::string garbage;
@@ -124,7 +124,7 @@ TEST(FuzzRobustnessTest, DeserializerSurvivesGarbage) {
       garbage += static_cast<char>(rng.NextBounded(256));
     }
     (void)DeserializeSummary(garbage);
-    (void)StatsCatalog::Deserialize(garbage);
+    (void)StatsCatalog::DeserializeOrStatus(garbage);
     // Prefix corruption of a valid document.
     std::string doc = SerializeSummary(RandomSummary(rng));
     if (!doc.empty()) {

@@ -33,16 +33,6 @@ std::vector<uint64_t> HashStream(uint64_t seed, int64_t count,
   return hashes;
 }
 
-std::vector<std::pair<uint64_t, int64_t>> SortedCounts(
-    const FlatHashCounter& counter) {
-  std::vector<std::pair<uint64_t, int64_t>> entries;
-  counter.ForEach([&](uint64_t key, int64_t count) {
-    entries.emplace_back(key, count);
-  });
-  std::sort(entries.begin(), entries.end());
-  return entries;
-}
-
 std::vector<uint64_t> SortedSample(const IncrementalStats& stats) {
   const auto sample = stats.reservoir().sample();
   std::vector<uint64_t> sorted(sample.begin(), sample.end());
@@ -50,14 +40,12 @@ std::vector<uint64_t> SortedSample(const IncrementalStats& stats) {
   return sorted;
 }
 
-// Every piece of state equal: sketches bit-for-bit, sampled counts, and
-// the reservoir as a multiset (same survivors regardless of feed shape).
+// Every piece of state equal: sketches bit-for-bit and the reservoir as a
+// multiset (same survivors regardless of feed shape).
 void ExpectSameState(const IncrementalStats& a, const IncrementalStats& b) {
   EXPECT_EQ(a.rows(), b.rows());
   EXPECT_EQ(a.hll(), b.hll());
   EXPECT_EQ(a.linear_counting(), b.linear_counting());
-  EXPECT_EQ(SortedCounts(a.sampled_counts()),
-            SortedCounts(b.sampled_counts()));
   EXPECT_EQ(SortedSample(a), SortedSample(b));
 }
 
@@ -111,42 +99,6 @@ TEST(IncrementalStatsTest, AppendBatchMatchesAddHashes) {
   ExpectSameState(from_column, from_hashes);
   EXPECT_EQ(from_column.reservoir().sample(),
             from_hashes.reservoir().sample());
-}
-
-TEST(IncrementalStatsTest, SampledProfileWithZeroBitsIsExact) {
-  IncrementalStatsOptions options;
-  options.sample_bits = 0;  // keep every hash: the profile is exact
-  IncrementalStats stats(options);
-  const auto hashes = HashStream(2, 20000, 1000);
-  stats.AddHashes(hashes);
-  EXPECT_EQ(stats.SampleRate(), 1.0);
-
-  FlatHashCounter expected;
-  for (uint64_t hash : hashes) expected.Add(hash);
-  EXPECT_EQ(SortedCounts(stats.sampled_counts()), SortedCounts(expected));
-  // The exact profile's multiplicity classes sum back to the stream.
-  const FrequencyProfile profile = stats.SampledProfile();
-  EXPECT_EQ(profile.TotalCount(), 20000);
-  EXPECT_EQ(profile.DistinctValues(), expected.size());
-}
-
-TEST(IncrementalStatsTest, SampledProfileKeepsExactlyTheThresholdedHashes) {
-  IncrementalStatsOptions options;
-  options.sample_bits = 3;  // keep hashes with the top 3 bits zero: 1/8
-  IncrementalStats stats(options);
-  const auto hashes = HashStream(3, 40000, 8000);
-  stats.AddHashes(hashes);
-  EXPECT_EQ(stats.SampleRate(), 0.125);
-
-  const uint64_t threshold = std::numeric_limits<uint64_t>::max() >> 3;
-  FlatHashCounter expected;
-  for (uint64_t hash : hashes) {
-    if (hash <= threshold) expected.Add(hash);
-  }
-  EXPECT_EQ(SortedCounts(stats.sampled_counts()), SortedCounts(expected));
-  // Membership is a deterministic function of the value, so the sampled
-  // profile's counts are true multiplicities, never partial ones.
-  EXPECT_GT(expected.size(), 0);
 }
 
 TEST(IncrementalStatsTest, SketchEstimateTracksTrueCardinality) {
@@ -333,8 +285,6 @@ TEST(MergeIncrementalStatsTest, AnyArrivalOrderMergesBitIdentically) {
     EXPECT_EQ(merged[i].hll, merged[0].hll);
     EXPECT_EQ(merged[i].linear_counting, merged[0].linear_counting);
     EXPECT_EQ(merged[i].sample, merged[0].sample);
-    EXPECT_EQ(SortedCounts(merged[i].sampled_counts),
-              SortedCounts(merged[0].sampled_counts));
   }
 }
 
@@ -356,12 +306,10 @@ TEST(MergeIncrementalStatsTest, MergedSketchesEqualSingleStreamBuild) {
   const auto merged = MergeIncrementalStats(views, 3);
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(merged->rows, single.rows());
-  // Sketches and the sampled profile are order-independent: the merge is
-  // bit-identical to one tracker that saw the concatenated stream.
+  // Sketches are order-independent: the merge is bit-identical to one
+  // tracker that saw the concatenated stream.
   EXPECT_EQ(merged->hll, single.hll());
   EXPECT_EQ(merged->linear_counting, single.linear_counting());
-  EXPECT_EQ(SortedCounts(merged->sampled_counts),
-            SortedCounts(single.sampled_counts()));
   // The merged reservoir is a fresh uniform draw, not the single-stream
   // one — but it has the same size and its summary brackets GEE.
   EXPECT_EQ(static_cast<int64_t>(merged->sample.size()),

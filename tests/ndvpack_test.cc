@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/stats_catalog.h"
+#include "common/file_io.h"
 #include "storage/blocked_column.h"
 #include "storage/ndvpack.h"
 #include "storage/pack_codec.h"
@@ -358,8 +359,8 @@ TEST(NdvPackRejectTest, UnsupportedVersion) {
   std::string bytes = ValidImage();
   bytes[8] = 2;  // version field
   // Re-stamp the checksum so the version check is what fires.
-  const uint64_t sum = PackChecksum(
-      {reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size() - 8});
+  const uint64_t sum =
+      Checksum64(std::string_view(bytes).substr(0, bytes.size() - 8));
   std::memcpy(bytes.data() + bytes.size() - 8, &sum, 8);
   EXPECT_EQ(ParseCodeOf(bytes), StatusCode::kInvalidArgument);
 }
