@@ -4,13 +4,11 @@
 #include <cmath>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/gee.h"
-#include "distributed/distributed_analyze.h"
-#include "sample/partition_merge.h"
 
 namespace ndv {
 namespace {
@@ -35,38 +33,6 @@ void ValidateOptions(const IncrementalStatsOptions& options) {
                 static_cast<long long>(options.linear_counting_bits));
 }
 
-SampleSummary SummaryFromSample(int64_t rows,
-                                std::span<const uint64_t> sample) {
-  NDV_CHECK_MSG(rows >= 1, "no rows observed yet");
-  SampleSummary summary;
-  summary.table_rows = rows;
-  summary.sample_rows = static_cast<int64_t>(sample.size());
-  summary.distinct_rows = true;
-  // A reservoir of row hashes is nearly all-distinct, so pre-size the
-  // counting table for it: the snapshot path runs on every published
-  // append batch, and rehash churn was its dominant cost.
-  summary.freq = FrequencyProfile::FromValues(
-      sample, static_cast<int64_t>(sample.size()));
-  summary.Validate();
-  return summary;
-}
-
-ColumnStats StatsFromSummary(std::string column_name,
-                             const SampleSummary& summary,
-                             const Estimator& estimator) {
-  const GeeBounds bounds = ComputeGeeBounds(summary);
-  ColumnStats stats;
-  stats.column_name = std::move(column_name);
-  stats.table_rows = summary.n();
-  stats.sample_rows = summary.r();
-  stats.sample_distinct = summary.d();
-  stats.estimate = estimator.Estimate(summary);
-  stats.lower = bounds.lower;
-  stats.upper = bounds.upper;
-  stats.method = std::string(estimator.name());
-  return stats;
-}
-
 }  // namespace
 
 ColumnSlice FullColumnSlice(const Column& column) {
@@ -85,11 +51,8 @@ double CombinedSketchEstimate(const HyperLogLog& hll,
   return hll.Estimate();
 }
 
-IncrementalStats::IncrementalStats(const IncrementalStatsOptions& options,
-                                   int partition)
-    : options_(options),
-      partition_(partition),
-      hll_(options.hll_precision),
+IncrementalStats::IncrementalStats(const IncrementalStatsOptions& options)
+    : hll_(options.hll_precision),
       linear_counting_(options.linear_counting_bits),
       reservoir_(options.reservoir_capacity, Rng(options.seed)) {
   ValidateOptions(options);
@@ -143,13 +106,35 @@ void IncrementalStats::AppendBatch(const ColumnSlice& slice) {
 }
 
 SampleSummary IncrementalStats::ReservoirSummary() const {
-  return SummaryFromSample(rows(), reservoir_.sample());
+  NDV_CHECK_MSG(rows() >= 1, "no rows observed yet");
+  const std::vector<uint64_t>& sample = reservoir_.sample();
+  SampleSummary summary;
+  summary.table_rows = rows();
+  summary.sample_rows = static_cast<int64_t>(sample.size());
+  summary.distinct_rows = true;
+  // A reservoir of row hashes is nearly all-distinct, so pre-size the
+  // counting table for it: the snapshot path runs on every published
+  // append batch, and rehash churn was its dominant cost.
+  summary.freq = FrequencyProfile::FromValues(
+      sample, static_cast<int64_t>(sample.size()));
+  summary.Validate();
+  return summary;
 }
 
 ColumnStats IncrementalStats::Snapshot(std::string column_name,
                                        const Estimator& estimator) const {
-  return StatsFromSummary(std::move(column_name), ReservoirSummary(),
-                          estimator);
+  const SampleSummary summary = ReservoirSummary();
+  const GeeBounds bounds = ComputeGeeBounds(summary);
+  ColumnStats stats;
+  stats.column_name = std::move(column_name);
+  stats.table_rows = summary.n();
+  stats.sample_rows = summary.r();
+  stats.sample_distinct = summary.d();
+  stats.estimate = estimator.Estimate(summary);
+  stats.lower = bounds.lower;
+  stats.upper = bounds.upper;
+  stats.method = std::string(estimator.name());
+  return stats;
 }
 
 void IncrementalStats::MarkFresh() {
@@ -174,102 +159,6 @@ StatusOr<bool> IncrementalStats::IsStaleOrStatus(
   const double changed = static_cast<double>(rows() - rows_at_fresh_) /
                          static_cast<double>(rows_at_fresh_);
   return changed > changed_fraction;
-}
-
-bool IncrementalStats::MergeCompatible(const IncrementalStats& other) const {
-  return options_.reservoir_capacity == other.options_.reservoir_capacity &&
-         options_.hll_precision == other.options_.hll_precision &&
-         options_.linear_counting_bits ==
-             other.options_.linear_counting_bits;
-}
-
-SampleSummary MergedIncrementalStats::Summary() const {
-  return SummaryFromSample(rows, sample);
-}
-
-ColumnStats MergedIncrementalStats::Snapshot(
-    std::string column_name, const Estimator& estimator) const {
-  return StatsFromSummary(std::move(column_name), Summary(), estimator);
-}
-
-StatusOr<MergedIncrementalStats> MergeIncrementalStats(
-    std::span<const IncrementalStats* const> parts, uint64_t merge_seed) {
-  if (parts.empty()) {
-    return InvalidArgumentError("MergeIncrementalStats: no parts");
-  }
-  // Canonical order: by partition id. Distinct ids make the order total,
-  // so any arrival order of the same parts merges bit-identically.
-  std::vector<const IncrementalStats*> ordered(parts.begin(), parts.end());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const IncrementalStats* a, const IncrementalStats* b) {
-              return a->partition() < b->partition();
-            });
-  for (size_t i = 0; i + 1 < ordered.size(); ++i) {
-    if (ordered[i]->partition() == ordered[i + 1]->partition()) {
-      return InvalidArgumentError(
-          "MergeIncrementalStats: duplicate partition id %d",
-          ordered[i]->partition());
-    }
-  }
-  const IncrementalStats& first = *ordered.front();
-  MergedIncrementalStats merged;
-  merged.hll = first.hll();
-  merged.linear_counting = first.linear_counting();
-  merged.rows = first.rows();
-  std::vector<PartitionSample> reservoirs;
-  reservoirs.reserve(ordered.size());
-  reservoirs.push_back(
-      PartitionSample{first.rows(), first.reservoir().sample()});
-  for (size_t i = 1; i < ordered.size(); ++i) {
-    const IncrementalStats& part = *ordered[i];
-    if (!first.MergeCompatible(part)) {
-      return InvalidArgumentError(
-          "MergeIncrementalStats: partition %d has incompatible geometry",
-          part.partition());
-    }
-    merged.hll.Merge(part.hll());
-    merged.linear_counting.Merge(part.linear_counting());
-    merged.rows += part.rows();
-    reservoirs.push_back(
-        PartitionSample{part.rows(), part.reservoir().sample()});
-  }
-  // Every partition reservoir holds min(capacity, population) items, which
-  // is >= min(target, population) because the capacities are equal — so the
-  // hypergeometric merge's preconditions hold by construction.
-  const int64_t target =
-      std::min(first.options().reservoir_capacity, merged.rows);
-  Rng merge_rng(merge_seed);
-  auto sample = MergePartitionSamplesOrStatus(std::move(reservoirs), target,
-                                              merge_rng);
-  NDV_RETURN_IF_ERROR(sample.status());
-  merged.sample = *std::move(sample);
-  std::sort(merged.sample.begin(), merged.sample.end());
-  return merged;
-}
-
-std::vector<IncrementalStats> PartitionedIngest(
-    const ColumnSlice& slice, const IncrementalStatsOptions& options,
-    int partitions, int threads) {
-  NDV_CHECK_MSG(partitions >= 1, "partitions must be >= 1, got %d",
-                partitions);
-  std::vector<IncrementalStats> shards;
-  shards.reserve(static_cast<size_t>(partitions));
-  for (int p = 0; p < partitions; ++p) {
-    IncrementalStatsOptions shard_options = options;
-    // Seeds derive from (seed, partition), never from the executing
-    // thread, so the build is bit-identical at every thread count.
-    shard_options.seed =
-        Hash64(options.seed + static_cast<uint64_t>(p) + 1);
-    shards.emplace_back(shard_options, p);
-  }
-  ParallelFor(partitions, ResolveThreadCount(threads), [&](int64_t pi) {
-    const int p = static_cast<int>(pi);
-    const auto [begin, end] = PartitionShard(slice.rows(), partitions, p);
-    const ColumnSlice shard{slice.column, slice.begin + begin,
-                            slice.begin + end};
-    shards[static_cast<size_t>(p)].AppendBatch(shard);
-  });
-  return shards;
 }
 
 }  // namespace ndv

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "catalog/stats_catalog.h"
 #include "common/status.h"
@@ -29,16 +28,13 @@ namespace ndv {
 //      (and the GEE [LOWER, UPPER] bracket) can be materialized at any
 //      moment. Batch feeds honor the sampler's skip schedule, so a run of
 //      discarded rows costs O(1), not O(run).
-//   2. A mergeable sketch backbone — HyperLogLog + linear counting over
-//      every hash. Sketch merges are order-independent bit-for-bit, so
-//      per-partition deltas combine without re-shipping rows, and reading
-//      the running distinct estimate is O(registers), independent of the
-//      reservoir: the serving staleness probe uses it instead of
-//      re-running an estimator over the sample.
+//   2. A sketch backbone — HyperLogLog + linear counting over every hash.
+//      Reading the running distinct estimate is O(registers), independent
+//      of the reservoir: the drift check uses it instead of re-running an
+//      estimator over the sample.
 //
-// A single IncrementalStats is not thread-safe; partition-parallel builds
-// give each shard its own instance (see PartitionedIngest) and fan in with
-// MergeIncrementalStats.
+// An IncrementalStats is not thread-safe; StatsMaintainer (maintenance.h)
+// serializes every call on the trackers it owns.
 
 // A borrowed view of rows [begin, end) of one column — the unit an append
 // batch arrives as. The column must outlive the slice.
@@ -75,10 +71,7 @@ double CombinedSketchEstimate(const HyperLogLog& hll,
 
 class IncrementalStats {
  public:
-  // `partition` tags this tracker's shard for the canonical merge order;
-  // single-stream trackers leave it 0.
-  explicit IncrementalStats(const IncrementalStatsOptions& options,
-                            int partition = 0);
+  explicit IncrementalStats(const IncrementalStatsOptions& options);
 
   // Observes one appended row's value hash.
   void Add(uint64_t hash);
@@ -94,8 +87,6 @@ class IncrementalStats {
 
   // Rows observed so far.
   int64_t rows() const { return reservoir_.items_seen(); }
-  int partition() const { return partition_; }
-  const IncrementalStatsOptions& options() const { return options_; }
 
   // O(registers) running distinct estimate from the sketch backbone.
   double SketchEstimate() const {
@@ -136,67 +127,18 @@ class IncrementalStats {
   // with InvalidArgument.
   StatusOr<bool> IsStaleOrStatus(double changed_fraction) const;
 
-  // True when `other` was built with the same sketch/reservoir geometry
-  // (seeds and partition tags may differ) — the precondition for merging.
-  bool MergeCompatible(const IncrementalStats& other) const;
-
-  // Raw parts, exposed for merging and for bit-identity tests.
+  // Raw parts, exposed for bit-identity tests.
   const HyperLogLog& hll() const { return hll_; }
   const LinearCounting& linear_counting() const { return linear_counting_; }
   const ReservoirSamplerL& reservoir() const { return reservoir_; }
 
  private:
-  IncrementalStatsOptions options_;
-  int partition_;
   HyperLogLog hll_;
   LinearCounting linear_counting_;
   ReservoirSamplerL reservoir_;
   int64_t rows_at_fresh_ = -1;  // -1 = never marked fresh
   double sketch_at_fresh_ = 0.0;
 };
-
-// The fan-in of per-partition deltas: every part's sketches merged (bit-
-// identical to a single-stream build) and the reservoirs combined into one
-// uniform without-replacement sample of the union via the hypergeometric
-// partition merge. Queryable like a tracker but not further appendable.
-struct MergedIncrementalStats {
-  int64_t rows = 0;
-  HyperLogLog hll;
-  LinearCounting linear_counting{1};
-  // Uniform WOR sample of the union stream, sorted (canonical form so two
-  // merges of the same parts compare bit-equal regardless of arrival
-  // order).
-  std::vector<uint64_t> sample;
-
-  double SketchEstimate() const {
-    return CombinedSketchEstimate(hll, linear_counting);
-  }
-  // Requires rows >= 1.
-  SampleSummary Summary() const;
-  ColumnStats Snapshot(std::string column_name,
-                       const Estimator& estimator) const;
-};
-
-// Merges per-partition trackers into one table-level MergedIncrementalStats.
-//
-// Determinism: parts are first sorted by partition id (which is why the
-// ids must be distinct), and the reservoir merge draws from a fresh
-// Rng(merge_seed) — so ANY arrival order of the same parts produces a
-// bit-identical result, matching the guarantee the sketches give for free.
-// Errors: InvalidArgument for no parts, duplicate partition ids, or
-// geometry-incompatible parts.
-StatusOr<MergedIncrementalStats> MergeIncrementalStats(
-    std::span<const IncrementalStats* const> parts, uint64_t merge_seed);
-
-// Partition-parallel ingest of one slice: shard `slice` into `partitions`
-// contiguous ranges with PartitionShard (the distributed coordinator's
-// sharding function), build one IncrementalStats per shard on up to
-// `threads` workers of the shared pool, and return them in partition
-// order. Per-partition seeds are derived deterministically from
-// options.seed, so the result is bit-identical at every thread count.
-std::vector<IncrementalStats> PartitionedIngest(
-    const ColumnSlice& slice, const IncrementalStatsOptions& options,
-    int partitions, int threads = 0);
 
 }  // namespace ndv
 

@@ -87,9 +87,14 @@ StatusOr<Message> DecodeMessage(std::string_view payload) {
       NDV_RETURN_IF_ERROR(reader.TakeU64(&message.epoch));
       uint32_t count = 0;
       NDV_RETURN_IF_ERROR(reader.TakeU32(&count));
-      if (count > kMaxFramePayload) {
-        return DataLossError("LIST_OK count %u exceeds frame capacity",
-                             static_cast<unsigned>(count));
+      // Every name costs at least its 4-byte length prefix, so a count the
+      // remaining bytes cannot hold is corrupt; reject it before reserve.
+      if (count > reader.remaining() / 4) {
+        return DataLossError(
+            "LIST_OK count %u exceeds the %zu names the remaining %zu bytes "
+            "can hold",
+            static_cast<unsigned>(count), reader.remaining() / 4,
+            reader.remaining());
       }
       message.columns.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {

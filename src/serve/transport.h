@@ -40,9 +40,9 @@ class Transport {
 };
 
 // An in-process connection: a pair of endpoints joined by two bounded
-// queues. Used by tests and the serving microbenchmark, so protocol,
-// service, client, and admission control are exercised end to end with no
-// sockets and no flakiness. Thread-safe; real condition-variable waits.
+// queues. Used by tests, so protocol, service, client, and admission
+// control are exercised end to end with no sockets and no flakiness.
+// Thread-safe; real condition-variable waits.
 class InProcessConnection {
  public:
   // `queue_capacity` bounds each direction; Send into a full queue fails

@@ -14,6 +14,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -386,6 +387,12 @@ TEST(StatsMaintainerScenarioTest, AppendStreamStaysBracketedAndRecovers) {
   EXPECT_EQ(maintainer.Tolerance("value"),
             initial->upper - initial->lower);
 
+  // The exact distinct count of base + appended prefix, kept batch by
+  // batch: the truth each published bracket is scored against.
+  std::unordered_set<int64_t> distinct(base_values.begin(),
+                                       base_values.end());
+  int batches_truth_in_bracket = 0;
+
   constexpr int64_t kBatchRows = 1000;
   uint64_t last_epoch = catalog.epoch();
   for (int64_t begin = 0; begin < append_column.size();
@@ -393,6 +400,9 @@ TEST(StatsMaintainerScenarioTest, AppendStreamStaysBracketedAndRecovers) {
     const int64_t end =
         std::min(begin + kBatchRows, append_column.size());
     appended_rows = end;  // the inline re-ANALYZE covers this batch
+    distinct.insert(append_values.begin() + begin,
+                    append_values.begin() + end);
+    const auto truth = static_cast<double>(distinct.size());
     const uint64_t epoch =
         maintainer.Append("value", ColumnSlice{&append_column, begin, end});
     EXPECT_GT(epoch, last_epoch);  // every batch publishes a new epoch
@@ -406,7 +416,13 @@ TEST(StatsMaintainerScenarioTest, AppendStreamStaysBracketedAndRecovers) {
     EXPECT_GE(published->upper, published->estimate);
     // And the published statistics cover the appended rows.
     EXPECT_EQ(published->table_rows, 30000 + appended_rows);
+    // LOWER is the sample's distinct count, so it can never pass the
+    // truth; UPPER is a high-probability bound, so it is scored, not
+    // required.
+    EXPECT_LE(published->lower, truth) << "batch ending at row " << end;
+    if (truth <= published->upper) ++batches_truth_in_bracket;
   }
+  EXPECT_EQ(batches_truth_in_bracket, 20);
 
   // The ~20x cardinality growth escaped the initial bracket: the trigger
   // fired and the inline re-ANALYZE succeeded.

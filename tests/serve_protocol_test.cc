@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,23 @@ TEST(ServeProtocolTest, ListReplyRoundTrips) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->columns, reply.columns);
   EXPECT_EQ(decoded->epoch, 9u);
+}
+
+TEST(ServeProtocolTest, ListReplyCountBeyondPayloadIsEarlyDataLoss) {
+  // A 21-byte LIST_OK header claiming 2^20 names: the decoder must reject
+  // the count against the bytes left before reserving any slot for it.
+  Message reply;
+  reply.type = MessageType::kListReply;
+  std::string payload = EncodeMessage(reply);
+  ASSERT_EQ(payload.size(), 21u);
+  const uint32_t count = uint32_t{1} << 20;
+  std::memcpy(payload.data() + 17, &count, sizeof(count));
+  const auto decoded = DecodeMessage(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(decoded.status().message().find("LIST_OK count 1048576"),
+            std::string::npos)
+      << decoded.status().ToString();
 }
 
 TEST(ServeProtocolTest, ErrorRoundTripsThroughStatus) {
